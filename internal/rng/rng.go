@@ -11,6 +11,7 @@ package rng
 import (
 	"hash/fnv"
 	"math"
+	"math/bits"
 )
 
 // Rand is a deterministic pseudo-random generator. It is not safe for
@@ -148,9 +149,26 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
 }
 
-// Zipf draws from a Zipf–Mandelbrot distribution over [0, n) with skew s>1,
-// using the rejection-inversion method of Hörmann and Derflinger (the same
-// approach as math/rand's Zipf). Construct once with NewZipf.
+// Zipf draws from a Zipf–Mandelbrot distribution over {0, ..., imax} with
+// exponent q > 1 and offset v >= 1, by inversion of the continuous
+// h(x) = (v+x)^(1−q)/(1−q) — the construction of Hörmann and Derflinger's
+// rejection-inversion method, as in math/rand's Zipf. Construct once with
+// NewZipf.
+//
+// The sampler's acceptance constant is s = 2 − hinv(h(1.5) − (v+1)^−q),
+// where math/rand uses 1 − hinv(…). This s lies in (1, 1.5] for every
+// valid q and v, while a candidate k = floor(x+0.5) always has k − x <= 0.5,
+// so no candidate is ever rejected: a draw is the pure inversion
+// u → floor(hinv(hxm + u/2⁵³·(h(0.5) − v^−q − hxm)) + 0.5) of one 53-bit
+// uniform u, and key k >= 1 gets the mass h(k+0.5) − h(k−0.5) instead of
+// (v+k)^−q. That is a known fidelity difference from the textbook method,
+// kept because every golden depends on it.
+//
+// The inversion is a non-increasing step function of u, so for domains
+// under zipfTableMax keys NewZipf tabulates where it steps and a draw
+// becomes a table lookup. A draw whose u lies within zipfMargin of a
+// tabulated step is re-evaluated by the exact formula, which makes the
+// table path bit-identical to the formula for every u.
 type Zipf struct {
 	r                *Rand
 	imax             float64
@@ -158,18 +176,27 @@ type Zipf struct {
 	oneMinusQ        float64
 	oneMinusQInv     float64
 	hxm, hx0MinusHxm float64
-	s                float64
-	// rej[k] caches the rejection threshold h(k+0.5) - (k+v)^-q for each
-	// integer candidate k. The threshold depends only on k and the
-	// generator's constants, so precomputing it is bit-identical to
-	// evaluating it per draw — it just moves two Exp and two Log calls
-	// out of the hot loop. Only built for small domains.
-	rej []float64
+	// bnd[k+1] estimates the u at which the inversion steps from key k+1
+	// (smaller u) to key k, so key k covers bnd[k+1] < u <= bnd[k]; bnd[0]
+	// is a sentinel above every u. nil when the formula handles all draws.
+	bnd []uint64
+	// guide[g] is the key at the lowest u of bucket g = u>>shift, so a u in
+	// bucket g has a key in [guide[g+1], guide[g]]; guide[len-1] = 0.
+	guide []uint16
+	shift uint
 }
 
-// zipfRejTableMax bounds the precomputed rejection-threshold table; larger
-// domains fall back to computing thresholds per draw.
-const zipfRejTableMax = 1 << 16
+const (
+	// zipfTableMax bounds the domain, in keys, that gets a step table;
+	// larger domains evaluate the formula on every draw.
+	zipfTableMax = 1 << 16
+	// zipfMargin is how close, in units of u, a draw may come to a
+	// tabulated step before it is re-evaluated by the exact formula. NewZipf
+	// builds a table only when stepError is at most zipfMargin/1024, so
+	// the margin absorbs any step estimate's error with room to spare. It
+	// sends at most 2·zipfMargin/2⁵³ of the draws per key to the formula.
+	zipfMargin = 1 << 26
+)
 
 // NewZipf returns a Zipf generator over {0, ..., imax} with exponent q > 1
 // and offset v >= 1.
@@ -182,20 +209,55 @@ func NewZipf(r *Rand, q, v float64, imax uint64) *Zipf {
 	z.oneMinusQInv = 1 / z.oneMinusQ
 	z.hxm = z.h(z.imax + 0.5)
 	z.hx0MinusHxm = z.h(0.5) - math.Exp(math.Log(v)*(-q)) - z.hxm
-	z.s = 2 - z.hinv(z.h(1.5)-math.Exp(-q*math.Log(v+1)))
-	if imax < zipfRejTableMax {
-		z.rej = make([]float64, imax+1)
-		for k := range z.rej {
-			z.rej[k] = z.rejThreshold(float64(k))
-		}
+	if imax+1 < zipfTableMax && z.stepError() <= zipfMargin/1024 {
+		z.buildTable(int(imax))
 	}
 	return z
 }
 
-// rejThreshold is the acceptance bound for integer candidate k, exactly as
-// the rejection-inversion loop evaluates it.
-func (z *Zipf) rejThreshold(k float64) float64 {
-	return z.h(k+0.5) - math.Exp(-math.Log(k+z.v)*z.q)
+// stepError bounds, in units of u, how far a tabulated step can sit
+// from the step the exact formula takes. Both sides round values of h near
+// the step, whose size is at most |h(0.5)|; one ulp of h there moves the
+// step by |h(0.5)|/|d| units of u, d being the span of h the draw covers.
+// The factor covers rounding in the formula's own hinv (exponent arguments
+// up to (q−1)·log(v+imax+0.5)) and in the estimate. It is large, and the
+// table is skipped, only for q very close to 1 over a short domain.
+func (z *Zipf) stepError() float64 {
+	perUlp := math.Abs(z.h(0.5) / z.hx0MinusHxm)
+	return perUlp*(4+8*(z.q-1)*math.Log(z.v+z.imax+0.5)) + 4
+}
+
+// buildTable fills bnd and guide. Each step estimate takes one evaluation of
+// h: the inversion crosses k+0.5 where hxm + u/2⁵³·d = h(k+0.5).
+func (z *Zipf) buildTable(imax int) {
+	z.bnd = make([]uint64, imax+2)
+	z.bnd[0] = math.MaxUint64
+	scale := (1 << 53) / z.hx0MinusHxm
+	prev := float64(1 << 53)
+	for k := 0; k <= imax; k++ {
+		b := (z.h(float64(k)+0.5) - z.hxm) * scale
+		if !(b > 0) {
+			b = 0
+		}
+		// Rounding must not make the estimates non-monotone; a clamped
+		// estimate stays within the error bound of its step.
+		b = math.Min(b, prev)
+		prev = b
+		z.bnd[k+1] = uint64(b)
+	}
+	// One guide bucket per key at most, rounded down to a power of two, so
+	// a bucket holds about one step on average.
+	lg := bits.Len(uint(imax+1)) - 1
+	z.shift = uint(53 - lg)
+	z.guide = make([]uint16, 1<<lg+1)
+	k := imax
+	for g := range z.guide[:1<<lg] {
+		u0 := uint64(g) << z.shift
+		for u0 > z.bnd[k] {
+			k--
+		}
+		z.guide[g] = uint16(k)
+	}
 }
 
 func (z *Zipf) h(x float64) float64 {
@@ -206,26 +268,45 @@ func (z *Zipf) hinv(x float64) float64 {
 	return math.Exp(z.oneMinusQInv*math.Log(z.oneMinusQ*x)) - z.v
 }
 
-// Uint64 returns a Zipf-distributed value in [0, imax].
+// Uint64 returns a Zipf-distributed value in {0, ..., imax}. A u that the
+// inversion maps past imax (at u = 0, hinv(hxm) = imax+0.5 rounds up) is
+// outside the support and is drawn again.
 func (z *Zipf) Uint64() uint64 {
 	for {
-		r := z.r.Float64()
-		ur := z.hxm + r*z.hx0MinusHxm
-		x := z.hinv(ur)
-		k := math.Floor(x + 0.5)
-		if k-x <= z.s {
-			return uint64(k)
+		u := z.r.Uint64() >> 11
+		if k, ok := z.lookup(u); ok {
+			return k
 		}
-		var thresh float64
-		if i := int(k); z.rej != nil && i >= 0 && i < len(z.rej) {
-			thresh = z.rej[i]
-		} else {
-			thresh = z.rejThreshold(k)
-		}
-		if ur >= thresh {
+		if k := z.inverse(u); k >= 0 && k <= z.imax {
 			return uint64(k)
 		}
 	}
+}
+
+// lookup returns the key for u from the step table; ok is false when there
+// is no table or u lies within zipfMargin of a step.
+func (z *Zipf) lookup(u uint64) (k uint64, ok bool) {
+	if z.bnd == nil {
+		return 0, false
+	}
+	// The key is the least k with u > bnd[k+1]; bisect the bucket's range.
+	g := u >> z.shift
+	lo, hi := uint64(z.guide[g+1]), uint64(z.guide[g])
+	for lo < hi {
+		if mid := (lo + hi) / 2; u > z.bnd[mid+1] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, u-z.bnd[lo+1] >= zipfMargin && z.bnd[lo]-u >= zipfMargin
+}
+
+// inverse is the exact formula: the key, as a float, that the inversion
+// maps the 53-bit uniform u to.
+func (z *Zipf) inverse(u uint64) float64 {
+	r := float64(u) / (1 << 53)
+	return math.Floor(z.hinv(z.hxm+r*z.hx0MinusHxm) + 0.5)
 }
 
 // OU is an Ornstein–Uhlenbeck mean-reverting process, the variability model
